@@ -35,29 +35,28 @@ BatchAccumulator::~BatchAccumulator() {
 Status BatchAccumulator::add(const std::string& topic, std::uint32_t partition,
                              Record record) {
   Key key{topic, partition};
-  std::vector<Record> due;
+  Due due;
   {
     MutexLock lock(mutex_);
     if (closed_) {
       return Status::FailedPrecondition("batch accumulator is closed");
     }
-    auto& pending = pending_[key];
-    if (pending.records.empty()) {
-      pending.deadline = Clock::now() + wall_linger(config_.linger);
+    Lane& lane = lanes_[key];
+    if (lane.records.empty()) {
+      lane.deadline = Clock::now() + wall_linger(config_.linger);
       ++arm_epoch_;
       wake_.notify_all();
     }
-    pending.bytes += record.wire_size();
-    pending.records.push_back(std::move(record));
+    lane.bytes += record.wire_size();
+    lane.records.push_back(std::move(record));
     ++stats_.records_enqueued;
     if (config_.linger <= Duration::zero() ||
-        pending.bytes >= config_.batch_max_bytes) {
-      due = std::move(pending.records);
-      pending_.erase(key);
+        lane.bytes >= config_.batch_max_bytes) {
+      due = cut_locked(key, lane);
     }
   }
-  if (due.empty()) return Status::Ok();
-  return flush_batch(key, std::move(due), Trigger::kSize);
+  if (due.records.empty()) return Status::Ok();
+  return flush_batch(std::move(due), Trigger::kSize);
 }
 
 Status BatchAccumulator::flush() {
@@ -68,7 +67,7 @@ Status BatchAccumulator::flush() {
   }
   Status first = Status::Ok();
   for (auto& d : all) {
-    auto s = flush_batch(d.key, std::move(d.records), Trigger::kManual);
+    auto s = flush_batch(std::move(d), Trigger::kManual);
     if (first.ok() && !s.ok()) first = s;
   }
   return first;
@@ -90,7 +89,7 @@ Status BatchAccumulator::close() {
   if (join && flusher_.joinable()) flusher_.join();
   Status first = Status::Ok();
   for (auto& d : all) {
-    auto s = flush_batch(d.key, std::move(d.records), Trigger::kClose);
+    auto s = flush_batch(std::move(d), Trigger::kClose);
     if (first.ok() && !s.ok()) first = s;
   }
   return first;
@@ -114,11 +113,11 @@ void BatchAccumulator::flusher_loop() {
       if (stop_) return;
       const auto now = Clock::now();
       auto next = TimePoint::max();
-      for (const auto& [key, pending] : pending_) {
-        next = std::min(next, pending.deadline);
+      for (const auto& [key, lane] : lanes_) {
+        if (!lane.records.empty()) next = std::min(next, lane.deadline);
       }
       if (next > now) {
-        Duration wait = pending_.empty()
+        Duration wait = next == TimePoint::max()
                             ? Duration(kMaxFlusherSlice)
                             : std::min<Duration>(next - now, kMaxFlusherSlice);
         const std::uint64_t epoch = arm_epoch_;
@@ -126,56 +125,66 @@ void BatchAccumulator::flusher_loop() {
                        [&] { return stop_ || arm_epoch_ != epoch; });
         continue;  // re-plan: stop, new arm, or deadline reached
       }
-      for (auto it = pending_.begin(); it != pending_.end();) {
-        if (it->second.deadline <= now) {
-          due.push_back(Due{it->first, std::move(it->second.records)});
-          it = pending_.erase(it);
-        } else {
-          ++it;
+      for (auto& [key, lane] : lanes_) {
+        if (!lane.records.empty() && lane.deadline <= now) {
+          due.push_back(cut_locked(key, lane));
         }
       }
     }
     for (auto& d : due) {
       // Linger-triggered flush has no caller to return to: the outcome is
       // recorded in stats_/last_error_ by flush_batch.
-      (void)flush_batch(d.key, std::move(d.records), Trigger::kTime);
+      (void)flush_batch(std::move(d), Trigger::kTime);
     }
   }
 }
 
-Status BatchAccumulator::flush_batch(const Key& key,
-                                     std::vector<Record> records,
-                                     Trigger trigger) {
-  if (records.empty()) return Status::Ok();
-  const auto count = static_cast<std::uint64_t>(records.size());
-  Status s = flush_(key.first, key.second, std::move(records));
-  MutexLock lock(mutex_);
-  ++stats_.batches_flushed;
-  switch (trigger) {
-    case Trigger::kSize: ++stats_.flushes_on_size; break;
-    case Trigger::kTime: ++stats_.flushes_on_time; break;
-    case Trigger::kClose: ++stats_.flushes_on_close; break;
-    case Trigger::kManual: ++stats_.flushes_manual; break;
+BatchAccumulator::Due BatchAccumulator::cut_locked(const Key& key,
+                                                  Lane& lane) {
+  Due due{key, &lane, lane.next_ticket++, std::move(lane.records)};
+  lane.records.clear();
+  lane.bytes = 0;
+  return due;
+}
+
+Status BatchAccumulator::flush_batch(Due due, Trigger trigger) {
+  Lane& lane = *due.lane;
+  {
+    // A size flush from add() and a linger or manual flush of the same
+    // partition may both hold a cut batch: the sink takes them one at a
+    // time, in cut order, or they could land out of order.
+    UniqueLock lock(mutex_);
+    turn_.wait(lock, [&] { return lane.serving == due.ticket; });
   }
-  if (s.ok()) {
-    stats_.records_flushed += count;
-  } else {
-    ++stats_.flush_errors;
-    stats_.records_dropped += count;
-    last_error_ = s;
+  const auto count = static_cast<std::uint64_t>(due.records.size());
+  Status s = flush_(due.key.first, due.key.second, std::move(due.records));
+  {
+    MutexLock lock(mutex_);
+    ++lane.serving;
+    ++stats_.batches_flushed;
+    switch (trigger) {
+      case Trigger::kSize: ++stats_.flushes_on_size; break;
+      case Trigger::kTime: ++stats_.flushes_on_time; break;
+      case Trigger::kClose: ++stats_.flushes_on_close; break;
+      case Trigger::kManual: ++stats_.flushes_manual; break;
+    }
+    if (s.ok()) {
+      stats_.records_flushed += count;
+    } else {
+      ++stats_.flush_errors;
+      stats_.records_dropped += count;
+      last_error_ = s;
+    }
   }
+  turn_.notify_all();
   return s;
 }
 
 std::vector<BatchAccumulator::Due> BatchAccumulator::take_all_locked() {
   std::vector<Due> all;
-  all.reserve(pending_.size());
-  for (auto& [key, pending] : pending_) {
-    if (!pending.records.empty()) {
-      all.push_back(Due{key, std::move(pending.records)});
-    }
+  for (auto& [key, lane] : lanes_) {
+    if (!lane.records.empty()) all.push_back(cut_locked(key, lane));
   }
-  pending_.clear();
   return all;
 }
 

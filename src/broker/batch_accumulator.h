@@ -15,10 +15,14 @@
 //
 // The sink (Producer::send_batch, ClusterProducer::send_batch) may be
 // called from the caller's thread (size trigger) and from the flusher
-// thread (linger trigger) concurrently — sinks must be thread-safe. Sink
-// failures are counted (flush_errors, records_dropped) and kept in
-// last_error(); a size-triggered flush also returns the error to the
-// add() caller synchronously. Callers that need zero-loss semantics put
+// thread (linger trigger) concurrently — sinks must be thread-safe. For
+// one partition, though, at most one sink call is in flight, and batches
+// reach the sink in the order they were cut: a batch cut while an
+// earlier one of its partition is still in the sink waits for it.
+// Different partitions flush concurrently. Sink failures are counted
+// (flush_errors, records_dropped) and kept in last_error(); a
+// size-triggered flush also returns the error to the add() caller
+// synchronously. Callers that need zero-loss semantics put
 // a retry loop in the sink (see scenario::FleetGenerator) — the
 // accumulator itself does not retry.
 #pragma once
@@ -97,30 +101,44 @@ class BatchAccumulator {
 
  private:
   enum class Trigger { kSize, kTime, kClose, kManual };
-  struct Pending {
-    std::vector<Record> records;
+  using Key = std::pair<std::string, std::uint32_t>;
+  /// One partition's batching state. Lanes are never erased, so a Lane&
+  /// (and the Lane* a Due holds) stays valid for the accumulator's life.
+  struct Lane {
+    std::vector<Record> records;  // pending, not yet cut
     std::uint64_t bytes = 0;
     TimePoint deadline;  // wall deadline (linger scaled at arm time)
+    /// Cut batches are numbered in cut order; `serving` is the one whose
+    /// turn at the sink it is.
+    std::uint64_t next_ticket = 0;
+    std::uint64_t serving = 0;
   };
-  using Key = std::pair<std::string, std::uint32_t>;
+  /// A batch cut from a lane, waiting for (or holding) its turn.
   struct Due {
     Key key;
+    Lane* lane = nullptr;
+    std::uint64_t ticket = 0;
     std::vector<Record> records;
   };
 
   void flusher_loop();
-  /// Runs the sink outside the lock and books the outcome.
-  Status flush_batch(const Key& key, std::vector<Record> records,
-                     Trigger trigger);
+  /// Takes the lane's pending records as the next batch in its order.
+  /// The lane must have pending records.
+  Due cut_locked(const Key& key, Lane& lane) PE_REQUIRES(mutex_);
   std::vector<Due> take_all_locked() PE_REQUIRES(mutex_);
+  /// Waits for the batch's turn on its lane, runs the sink outside the
+  /// lock, books the outcome and passes the turn on.
+  Status flush_batch(Due due, Trigger trigger);
 
   const BatchConfig config_;
   const FlushFn flush_;
-  // Client-side lock, held only around the pending map — never across the
-  // sink call (which takes broker/cluster locks and network time).
+  // Client-side lock, held only around the lanes — never across the sink
+  // call (which takes broker/cluster locks and network time).
   mutable Mutex mutex_{"broker.batch_accumulator"};
   CondVar wake_;
-  std::map<Key, Pending> pending_ PE_GUARDED_BY(mutex_);
+  /// Signalled when a lane's `serving` advances.
+  CondVar turn_;
+  std::map<Key, Lane> lanes_ PE_GUARDED_BY(mutex_);
   BatchAccumulatorStats stats_ PE_GUARDED_BY(mutex_);
   Status last_error_ PE_GUARDED_BY(mutex_);
   /// Bumped whenever a new batch arms a (possibly earlier) deadline, so

@@ -21,6 +21,20 @@ std::string tp_str(const std::string& topic, std::uint32_t partition) {
   return topic + "/" + std::to_string(partition);
 }
 
+/// Per-record counters, resolved once: a registry lookup takes the
+/// registry lock and builds a string on every call.
+struct RecordCounters {
+  tel::Counter& produced =
+      tel::MetricsRegistry::global().counter("cluster.records_produced");
+  tel::Counter& replicated =
+      tel::MetricsRegistry::global().counter("cluster.replicated_records");
+};
+
+RecordCounters& record_counters() {
+  static RecordCounters counters;
+  return counters;
+}
+
 /// Emulated age of a heartbeat in nanoseconds: wall age scaled by the
 /// global time scale, comparable against emulated Durations.
 double emulated_age_ns(TimePoint last, TimePoint now) {
@@ -107,11 +121,16 @@ Status BrokerCluster::create_topic(const std::string& name,
   if (config.partitions == 0) {
     return Status::InvalidArgument("topic needs at least one partition");
   }
-  WriterLock lock(mutex_);
-  if (topics_.count(name) != 0) {
-    return Status::AlreadyExists("topic '" + name + "' already exists");
+  Status created;
+  {
+    WriterLock lock(mutex_);
+    if (topics_.count(name) != 0) {
+      return Status::AlreadyExists("topic '" + name + "' already exists");
+    }
+    created = create_topic_locked(name, config, options_.replication_factor);
   }
-  return create_topic_locked(name, config, options_.replication_factor);
+  notify_progress();
+  return created;
 }
 
 Status BrokerCluster::create_topic_locked(const std::string& name,
@@ -256,6 +275,7 @@ Result<std::uint64_t> BrokerCluster::replicated_append_locked(
     std::vector<broker::ConsumedRecord> copy = stamped;
     if (node.broker->replicate(topic, partition, std::move(copy)).ok()) {
       ++wait.satisfied;
+      record_counters().replicated.add(records.size());
     }
   }
   return first;
@@ -356,9 +376,8 @@ Result<std::uint64_t> BrokerCluster::produce(
     if (!appended.ok()) return appended.status();
     first = appended.value();
   }
-  tel::MetricsRegistry::global()
-      .counter("cluster.records_produced")
-      .add(records.size());
+  notify_progress();
+  record_counters().produced.add(records.size());
   if (wait.satisfied >= wait.required) return first;
   if (auto s = await_acks(topic, partition, wait); !s.ok()) return s;
   return first;
@@ -556,6 +575,7 @@ Status BrokerCluster::commit_offset(const std::string& group,
     if (!appended.ok()) return appended.status();
     leader_node.broker->coordinator().restore_offset(group, tp, offset);
   }
+  notify_progress();
   if (wait.satisfied >= wait.required) return Status::Ok();
   return await_acks(kOffsetsTopic, 0, wait);
 }
@@ -590,6 +610,14 @@ Status BrokerCluster::kill_broker(const std::string& name) {
 }
 
 Status BrokerCluster::restore_broker(BrokerId id, double keep_fraction) {
+  Status restored = restore_member(id, keep_fraction);
+  // Elections may have moved leadership and the member's log is back in
+  // the high-watermark computation.
+  notify_progress();
+  return restored;
+}
+
+Status BrokerCluster::restore_member(BrokerId id, double keep_fraction) {
   WriterLock lock(mutex_);
   if (id >= nodes_.size()) {
     return Status::NotFound("unknown broker id " + std::to_string(id));
@@ -716,12 +744,35 @@ void BrokerCluster::controller_loop() {
 }
 
 void BrokerCluster::tick() {
-  admin_phase();
-  auto changes = replicate_phase();
+  const bool repaired = admin_phase();
+  bool advanced = false;
+  auto changes = replicate_phase(advanced);
   if (!changes.empty()) apply_isr_changes(changes);
+  if (repaired || advanced) notify_progress();
 }
 
-void BrokerCluster::admin_phase() {
+std::uint64_t BrokerCluster::progress_version() const {
+  MutexLock lock(progress_mutex_);
+  return progress_version_;
+}
+
+void BrokerCluster::wait_for_progress(std::uint64_t seen,
+                                      Duration wall_timeout) const {
+  UniqueLock lock(progress_mutex_);
+  progress_cv_.wait_for(lock, wall_timeout,
+                        [&] { return progress_version_ != seen; });
+}
+
+void BrokerCluster::notify_progress() {
+  {
+    MutexLock lock(progress_mutex_);
+    ++progress_version_;
+  }
+  progress_cv_.notify_all();
+}
+
+bool BrokerCluster::admin_phase() {
+  bool changed = false;
   WriterLock lock(mutex_);
   const TimePoint now = Clock::now();
   for (Node& node : nodes_) {
@@ -744,11 +795,13 @@ void BrokerCluster::admin_phase() {
             node.broker->truncate_partition(topic, p, it->second).ok()) {
           tel::MetricsRegistry::global().counter("cluster.truncations").add();
           it = ps.pending_truncate.erase(it);
+          changed = true;
         } else {
           ++it;
         }
       }
       const BrokerId l = ps.meta.leader;
+      const std::uint64_t epoch = ps.meta.epoch;
       if (l == kNoBroker) {
         // Leaderless: re-elect as soon as any replica is reachable again.
         for (BrokerId r : ps.meta.replicas) {
@@ -757,15 +810,15 @@ void BrokerCluster::admin_phase() {
             break;
           }
         }
-        continue;
+      } else if (!nodes_[l].alive || nodes_[l].isolated) {
+        if (emulated_age_ns(nodes_[l].last_heartbeat, now) >= session_ns) {
+          elect_locked(topic, p, ps);
+        }
       }
-      Node& leader_node = nodes_[l];
-      if (leader_node.alive && !leader_node.isolated) continue;
-      if (emulated_age_ns(leader_node.last_heartbeat, now) >= session_ns) {
-        elect_locked(topic, p, ps);
-      }
+      if (ps.meta.leader != l || ps.meta.epoch != epoch) changed = true;
     }
   }
+  return changed;
 }
 
 void BrokerCluster::elect_locked(const std::string& topic,
@@ -873,7 +926,8 @@ void BrokerCluster::replay_offsets_locked(BrokerId id) {
                                    << b.name());
 }
 
-std::vector<BrokerCluster::IsrChange> BrokerCluster::replicate_phase() {
+std::vector<BrokerCluster::IsrChange> BrokerCluster::replicate_phase(
+    bool& advanced) {
   std::vector<IsrChange> changes;
   ReaderLock lock(mutex_);
   for (auto& [topic, ts] : topics_) {
@@ -935,9 +989,8 @@ std::vector<BrokerCluster::IsrChange> BrokerCluster::replicate_phase() {
           }
           f_end += n;
           copied += n;
-          tel::MetricsRegistry::global()
-              .counter("cluster.replicated_records")
-              .add(n);
+          advanced = true;
+          record_counters().replicated.add(n);
         }
         if (l_end - f_end <= options_.isr_max_lag_records) isr.push_back(r);
       }

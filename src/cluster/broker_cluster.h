@@ -150,6 +150,16 @@ class BrokerCluster {
   Status set_broker_isolated(const std::string& name, bool isolated);
   bool broker_alive(BrokerId id) const;
 
+  // --- progress signal (what a waiting consumer sleeps on) ---
+  /// Bumped after every event that can make new records readable or move
+  /// a leader: a produce-path append and sync push, a catch-up pump pass
+  /// that advanced a follower, an election, a divergence truncation, a
+  /// topic creation and a broker restore. Read it before looking for data.
+  std::uint64_t progress_version() const;
+  /// Blocks until the version differs from `seen` or `wall_timeout` (wall
+  /// time, not emulated) elapses.
+  void wait_for_progress(std::uint64_t seen, Duration wall_timeout) const;
+
   // --- introspection ---
   std::uint64_t failover_count() const {
     return failovers_.load(std::memory_order_relaxed);
@@ -215,12 +225,16 @@ class BrokerCluster {
   void tick();
   /// Writer phase: refresh heartbeats, repair pending truncations on live
   /// replicas, elect leaders for partitions whose leader expired (or that
-  /// are leaderless with a live candidate).
-  void admin_phase();
+  /// are leaderless with a live candidate). True when it truncated a
+  /// replica or changed a partition's leader.
+  bool admin_phase();
   /// Reader phase: stream catch-up batches leader -> lagging followers,
-  /// compute the desired ISR per partition.
-  std::vector<IsrChange> replicate_phase();
+  /// compute the desired ISR per partition. Sets `advanced` when any
+  /// follower received records.
+  std::vector<IsrChange> replicate_phase(bool& advanced);
   void apply_isr_changes(const std::vector<IsrChange>& changes);
+  /// restore_broker's body, run under the metadata lock.
+  Status restore_member(BrokerId id, double keep_fraction);
 
   Status create_topic_locked(const std::string& name,
                              ClusterTopicConfig config,
@@ -249,6 +263,9 @@ class BrokerCluster {
       PE_REQUIRES_SHARED(mutex_);
   Status await_acks(const std::string& topic, std::uint32_t partition,
                     const AckWait& wait) const;
+  /// Bumps the progress version and wakes every waiter. Called with no
+  /// other cluster lock held.
+  void notify_progress();
 
   const ClusterOptions options_;
   // Metadata lock, level 1 of the cluster domain (above every broker
@@ -263,6 +280,11 @@ class BrokerCluster {
                        lock_rank(kLockDomainCluster, 2)};
   std::vector<Node> nodes_ PE_GUARDED_BY(mutex_);
   std::map<std::string, TopicState> topics_ PE_GUARDED_BY(mutex_);
+  // Progress signal: a leaf lock, never held while taking another.
+  mutable Mutex progress_mutex_{"cluster.progress",
+                                lock_rank(kLockDomainCluster, 4)};
+  mutable CondVar progress_cv_;
+  std::uint64_t progress_version_ PE_GUARDED_BY(progress_mutex_) = 0;
   std::atomic<std::uint64_t> failovers_{0};
   std::atomic<bool> stop_{false};
   std::thread controller_;

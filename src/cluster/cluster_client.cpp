@@ -264,8 +264,9 @@ std::optional<std::uint64_t> ClusterConsumer::initial_position(
   return std::nullopt;
 }
 
-void ClusterConsumer::sweep(std::vector<broker::ConsumedRecord>& out) {
-  if (assignment_.empty()) return;
+bool ClusterConsumer::sweep(std::vector<broker::ConsumedRecord>& out) {
+  bool reset = false;
+  if (assignment_.empty()) return reset;
   const std::size_t n = assignment_.size();
   for (std::size_t i = 0; i < n && out.size() < config_.max_poll_records;
        ++i) {
@@ -289,6 +290,7 @@ void ClusterConsumer::sweep(std::vector<broker::ConsumedRecord>& out) {
         // The position fell outside the committed log (retention moved
         // the start, or an unclean edge shrank the end): reset it.
         positions_.erase(pos_it);
+        reset = true;
       }
       continue;  // NOT_LEADER/UNAVAILABLE resolve by the next sweep
     }
@@ -298,6 +300,7 @@ void ClusterConsumer::sweep(std::vector<broker::ConsumedRecord>& out) {
     }
   }
   sweep_start_ = (sweep_start_ + 1) % n;
+  return reset;
 }
 
 Result<std::vector<broker::ConsumedRecord>> ClusterConsumer::poll(
@@ -318,19 +321,27 @@ Result<std::vector<broker::ConsumedRecord>> ClusterConsumer::poll(
   maybe_rebalance();
 
   std::vector<broker::ConsumedRecord> out;
-  Stopwatch sw;
-  const double budget_ms =
-      std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
-          max_wait)
-          .count() /
-      Clock::time_scale();
+  // The budget is emulated time; the wait below runs on the wall clock.
+  const TimePoint deadline =
+      Clock::now() +
+      std::chrono::duration_cast<Duration>(max_wait / Clock::time_scale());
+  bool resweep_allowed = true;
   while (true) {
-    sweep(out);
-    if (!out.empty() || sw.elapsed_ms() >= budget_ms) break;
-    // Scaled: the wall budget above shrank by the time scale, so a fixed
-    // 200us wall sleep would consume it in a handful of sweeps at high
-    // speed-up (and make an empty poll overshoot max_wait badly).
-    Clock::sleep_scaled(std::chrono::microseconds(200));
+    // Read before the sweep: a produce that lands mid-sweep bumps the
+    // version past `seen`, so the wait below returns at once instead of
+    // missing it.
+    const std::uint64_t seen = cluster_->progress_version();
+    const bool reset = sweep(out);
+    if (!out.empty()) break;
+    const TimePoint now = Clock::now();
+    if (now >= deadline) break;
+    // A reset position resolves on the next sweep without any new data;
+    // allow one immediate re-sweep so a poll does not idle on it.
+    if (reset && resweep_allowed) {
+      resweep_allowed = false;
+      continue;
+    }
+    cluster_->wait_for_progress(seen, deadline - now);
   }
   stats_.records_consumed += out.size();
   return out;

@@ -139,7 +139,9 @@ class ClusterConsumer {
   Status subscribe(std::vector<std::string> topics);
 
   /// Delivers up to max_poll_records across the assignment, sweeping
-  /// partitions round-robin until something arrives or `max_wait`
+  /// partitions round-robin. When a sweep finds nothing it waits on the
+  /// cluster's progress signal (a produce, a pump pass, an election)
+  /// rather than sleeping, until something arrives or `max_wait`
   /// (emulated) elapses. Handles rebalances, leader changes, and offset
   /// resets internally; a poll during a failover returns empty rather
   /// than failing.
@@ -171,7 +173,9 @@ class ClusterConsumer {
   /// any, else the reset point.
   std::optional<std::uint64_t> initial_position(
       const broker::TopicPartition& tp);
-  void sweep(std::vector<broker::ConsumedRecord>& out);
+  /// One fetch pass over the assignment. True when it reset a position
+  /// that fell outside the committed log.
+  bool sweep(std::vector<broker::ConsumedRecord>& out);
 
   std::shared_ptr<BrokerCluster> cluster_;
   const std::string group_;

@@ -11,6 +11,23 @@
 #include "telemetry/metrics.h"
 
 namespace pe::storage {
+namespace {
+
+/// Resolved once: a registry lookup per fdatasync would build a string
+/// and take the registry lock.
+struct FsyncMetrics {
+  Histogram& fsync_us =
+      tel::MetricsRegistry::global().histogram("storage.fsync_us");
+  tel::Counter& fsyncs =
+      tel::MetricsRegistry::global().counter("storage.fsyncs");
+};
+
+FsyncMetrics& fsync_metrics() {
+  static FsyncMetrics metrics;
+  return metrics;
+}
+
+}  // namespace
 
 Result<std::unique_ptr<SegmentWriter>> SegmentWriter::open(Segment* segment) {
   std::unique_ptr<SegmentWriter> writer(new SegmentWriter(segment));
@@ -130,9 +147,9 @@ Status SegmentWriter::sync_file_only() {
       std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
           Clock::now() - t0)
           .count();
-  auto& metrics = tel::MetricsRegistry::global();
-  metrics.histogram("storage.fsync_us").record(us);
-  metrics.counter("storage.fsyncs").add();
+  FsyncMetrics& metrics = fsync_metrics();
+  metrics.fsync_us.record(us);
+  metrics.fsyncs.add();
   return Status::Ok();
 }
 

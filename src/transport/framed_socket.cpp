@@ -32,6 +32,24 @@ int poll_one(int fd, short events, Duration timeout) {
   return ::poll(&pfd, 1, timeout_ms);
 }
 
+/// Per-frame counters, resolved once: a registry lookup per frame would
+/// build a string and take the registry lock.
+struct FrameCounters {
+  tel::Counter& frames_out =
+      tel::MetricsRegistry::global().counter("transport.frames_out");
+  tel::Counter& bytes_out =
+      tel::MetricsRegistry::global().counter("transport.frame_bytes_out");
+  tel::Counter& frames_in =
+      tel::MetricsRegistry::global().counter("transport.frames_in");
+  tel::Counter& bytes_in =
+      tel::MetricsRegistry::global().counter("transport.frame_bytes_in");
+};
+
+FrameCounters& frame_counters() {
+  static FrameCounters counters;
+  return counters;
+}
+
 }  // namespace
 
 FramedSocket::~FramedSocket() { close(); }
@@ -147,10 +165,9 @@ Status FramedSocket::send_frame(char type, ByteSpan payload) {
   if (!payload.empty()) {
     if (auto s = write_all(payload.data(), payload.size()); !s.ok()) return s;
   }
-  auto& reg = tel::MetricsRegistry::global();
-  reg.counter("transport.frames_out").add();
-  reg.counter("transport.frame_bytes_out").add(sizeof(header) +
-                                               payload.size());
+  FrameCounters& counters = frame_counters();
+  counters.frames_out.add();
+  counters.bytes_out.add(sizeof(header) + payload.size());
   return Status::Ok();
 }
 
@@ -200,9 +217,9 @@ Result<Frame> FramedSocket::recv_frame(Duration timeout) {
   Frame frame;
   frame.type = static_cast<char>(header[0]);
   frame.payload = broker::Payload(std::shared_ptr<const Bytes>(buf));
-  auto& reg = tel::MetricsRegistry::global();
-  reg.counter("transport.frames_in").add();
-  reg.counter("transport.frame_bytes_in").add(sizeof(header) + len);
+  FrameCounters& counters = frame_counters();
+  counters.frames_in.add();
+  counters.bytes_in.add(sizeof(header) + len);
   return frame;
 }
 

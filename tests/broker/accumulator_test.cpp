@@ -1,13 +1,18 @@
 // BatchAccumulator coverage: size/linger/close/manual triggers, sink
-// error accounting, per-partition separation, and the linger==0
-// flush-per-add mode.
+// error accounting, per-partition separation, per-partition flush order,
+// and the linger==0 flush-per-add mode.
 #include "broker/batch_accumulator.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -190,6 +195,74 @@ TEST(BatchAccumulatorTest, PartitionsBatchIndependently) {
   EXPECT_EQ(t0, 2u);
   EXPECT_EQ(t1, 1u);
   EXPECT_EQ(u0, 1u);
+}
+
+TEST(BatchAccumulatorTest, PartitionFlushesOneBatchAtATimeInCutOrder) {
+  // The sink blocks on partition 0's first batch. Meanwhile a manual
+  // flush cuts partition 0's second batch: it must wait for the first,
+  // while partition 1 still flushes.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  bool blocked = false;
+  std::map<std::uint32_t, int> in_flight;
+  std::map<std::uint32_t, int> max_in_flight;
+  std::vector<std::string> p0_order;  // first key of each partition-0 batch
+  auto sink = [&](const std::string&, std::uint32_t partition,
+                  std::vector<Record> records) {
+    std::unique_lock<std::mutex> lock(mu);
+    const int now = ++in_flight[partition];
+    max_in_flight[partition] = std::max(max_in_flight[partition], now);
+    if (partition == 0) p0_order.push_back(records.front().key);
+    if (partition == 0 && records.front().key == "a0") {
+      blocked = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+    }
+    --in_flight[partition];
+    return Status::Ok();
+  };
+  BatchConfig config;
+  config.linger = std::chrono::seconds(60);  // no linger flush in the test
+  config.batch_max_bytes = 2 * make_record("a0").wire_size();
+  BatchAccumulator acc(config, sink);
+
+  // Two records trip the size trigger: add() runs the sink and blocks.
+  std::thread size_flush([&] {
+    EXPECT_TRUE(acc.add("t", 0, make_record("a0")).ok());
+    EXPECT_TRUE(acc.add("t", 0, make_record("a1")).ok());
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, 5s, [&] { return blocked; }));
+  }
+  // Another partition is not held up by partition 0's sink call.
+  ASSERT_TRUE(acc.add("t", 1, make_record("c0")).ok());
+  ASSERT_TRUE(acc.add("t", 1, make_record("c1")).ok());
+
+  ASSERT_TRUE(acc.add("t", 0, make_record("b0")).ok());
+  std::atomic<bool> flushed{false};
+  std::thread manual_flush([&] {
+    EXPECT_TRUE(acc.flush().ok());
+    flushed = true;
+  });
+  // Give an unordered implementation time to run the second batch.
+  Clock::sleep_exact(50ms);
+  EXPECT_FALSE(flushed.load());
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(p0_order, std::vector<std::string>{"a0"});
+    release = true;
+  }
+  cv.notify_all();
+  size_flush.join();
+  manual_flush.join();
+
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(p0_order, (std::vector<std::string>{"a0", "b0"}));
+  EXPECT_EQ(max_in_flight[0], 1);
+  EXPECT_EQ(max_in_flight[1], 1);
+  EXPECT_EQ(acc.stats().batches_flushed, 3u);
 }
 
 TEST(BatchAccumulatorTest, ZeroLingerFlushesEveryAdd) {

@@ -1,18 +1,23 @@
 // BrokerCluster functional coverage: deterministic sharding, leader
 // routing, synchronous + catch-up replication, ack policies, epoch
-// fencing, and the cluster clients' retry behavior.
+// fencing, the cluster clients' retry behavior, and consumers that wait
+// on the cluster's progress signal.
 #include "cluster/broker_cluster.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/rng.h"
 #include "cluster/cluster_client.h"
 #include "cluster/shard_map.h"
+#include "telemetry/metrics.h"
 
 namespace pe::cluster {
 namespace {
@@ -332,6 +337,174 @@ TEST(ClusterClientTest, ThrottledProduceIsRetriedTransparently) {
   ASSERT_TRUE(wait_until([&] {
     return cluster->replicas_converged("metrics", 0);
   }));
+}
+
+TEST(ClusterTest, ReplicatedRecordsCountEveryFollowerAppend) {
+  auto cluster = std::make_shared<BrokerCluster>(fast_options());
+  ClusterTopicConfig two;
+  two.partitions = 2;
+  ASSERT_TRUE(cluster->create_topic("counted", two).ok());
+  auto& registry = tel::MetricsRegistry::global();
+  tel::Counter& produced = registry.counter("cluster.records_produced");
+  tel::Counter& replicated = registry.counter("cluster.replicated_records");
+  const std::uint64_t produced0 = produced.value();
+  const std::uint64_t replicated0 = replicated.value();
+
+  ClusterProducer producer(cluster, {}, AckPolicy::kQuorum);
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_TRUE(producer
+                    .send("counted", static_cast<std::uint32_t>(i % 2),
+                          make_record("k" + std::to_string(i)))
+                    .ok());
+  }
+  std::vector<broker::Record> batch;
+  for (int i = 0; i < 20; ++i) batch.push_back(make_record("b"));
+  ASSERT_TRUE(producer.send_batch("counted", 1, std::move(batch)).ok());
+  ASSERT_TRUE(wait_until([&] {
+    return cluster->replicas_converged("counted", 0) &&
+           cluster->replicas_converged("counted", 1);
+  }));
+
+  // RF=3 with caught-up followers: each record is appended on two
+  // followers, whichever path (sync push or catch-up pump) carried it.
+  EXPECT_EQ(produced.value() - produced0, 50u);
+  EXPECT_EQ(replicated.value() - replicated0, 100u);
+}
+
+/// A subscribed consumer whose positions are resolved (one empty poll).
+std::unique_ptr<ClusterConsumer> ready_consumer(
+    const std::shared_ptr<BrokerCluster>& cluster, const std::string& topic) {
+  ClusterConsumerConfig config;
+  config.auto_commit = false;
+  auto consumer = std::make_unique<ClusterConsumer>(cluster, "waiters", config);
+  EXPECT_TRUE(consumer->subscribe({topic}).ok());
+  EXPECT_TRUE(consumer->poll(1ms).ok());
+  return consumer;
+}
+
+TEST(ClusterClientTest, EmptyPollWakesOnProduce) {
+  auto cluster = std::make_shared<BrokerCluster>(fast_options());
+  ASSERT_TRUE(cluster->create_topic("wake").ok());
+  auto consumer = ready_consumer(cluster, "wake");
+
+  std::atomic<std::uint64_t> sent_ns{0};
+  std::thread producer([&] {
+    ClusterProducer p(cluster);
+    Clock::sleep_exact(30ms);  // let the poll reach its wait
+    sent_ns = Clock::now_ns();
+    EXPECT_TRUE(p.send("wake", 0, make_record("x")).ok());
+  });
+  Stopwatch sw;
+  auto polled = consumer->poll(1s);
+  const std::uint64_t returned_ns = Clock::now_ns();
+  producer.join();
+  ASSERT_TRUE(polled.ok()) << polled.status().to_string();
+  ASSERT_EQ(polled.value().size(), 1u);
+  // Returned on the produce, not on the 1 s budget.
+  EXPECT_LT(sw.elapsed_ms(), 500.0);
+  EXPECT_LT(static_cast<double>(returned_ns - sent_ns.load()) / 1e6, 100.0);
+}
+
+TEST(ClusterClientTest, PositionPastHighWatermarkResetsWithoutWaiting) {
+  auto cluster = std::make_shared<BrokerCluster>(fast_options());
+  ASSERT_TRUE(cluster->create_topic("reset").ok());
+  ClusterProducer producer(cluster);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(producer.send("reset", 0, make_record("k")).ok());
+  }
+  auto consumer = ready_consumer(cluster, "reset");
+  consumer->seek({"reset", 0}, 1000);
+  // The fetch fails OUT_OF_RANGE and the position resets to the log
+  // start. No new data will arrive, so the poll must re-sweep at once
+  // rather than wait for progress.
+  Stopwatch sw;
+  auto polled = consumer->poll(1s);
+  ASSERT_TRUE(polled.ok());
+  EXPECT_EQ(polled.value().size(), 5u);
+  EXPECT_LT(sw.elapsed_ms(), 500.0);
+}
+
+TEST(ClusterClientTest, ProducePollRaceLosesNoWakeup) {
+  auto cluster = std::make_shared<BrokerCluster>(fast_options());
+  // Many partitions make each sweep long, so a produce often lands on a
+  // partition the sweep has already passed.
+  ClusterTopicConfig wide;
+  wide.partitions = 16;
+  ASSERT_TRUE(cluster->create_topic("race", wide).ok());
+  auto consumer = ready_consumer(cluster, "race");
+  ClusterProducer producer(cluster);
+  Rng rng(14);
+  for (int round = 0; round < 1000; ++round) {
+    // The produce lands at a random point of the poll: before, during or
+    // after its sweep. A notify between the sweep and the wait must not
+    // be lost, or this poll sits out its whole budget.
+    const auto delay = std::chrono::microseconds(rng.next_u64() % 100);
+    const auto partition = static_cast<std::uint32_t>(rng.next_u64() % 16);
+    std::atomic<bool> go{false};
+    std::thread t([&] {
+      while (!go.load()) {
+      }
+      Clock::sleep_exact(delay);
+      EXPECT_TRUE(producer.send("race", partition, make_record("r")).ok());
+    });
+    go = true;
+    Stopwatch sw;
+    std::size_t got = 0;
+    while (got == 0 && sw.elapsed_ms() < 5000.0) {
+      auto polled = consumer->poll(2s);
+      ASSERT_TRUE(polled.ok());
+      got = polled.value().size();
+    }
+    t.join();
+    ASSERT_EQ(got, 1u) << "round " << round;
+    ASSERT_LT(sw.elapsed_ms(), 1000.0) << "round " << round
+                                       << " waited out its budget";
+  }
+}
+
+TEST(ClusterClientTest, LeaderKillDuringWaitStillDelivers) {
+  auto cluster = std::make_shared<BrokerCluster>(fast_options());
+  ASSERT_TRUE(cluster->create_topic("failover").ok());
+  auto consumer = ready_consumer(cluster, "failover");
+  auto leader = cluster->leader("failover", 0);
+  ASSERT_TRUE(leader.ok());
+
+  std::thread chaos([&] {
+    Clock::sleep_exact(20ms);  // the poll is waiting by now
+    EXPECT_TRUE(cluster->kill_broker(leader.value()).ok());
+    // Retries ride out the election (session timeout 6 ms).
+    ClusterProducer p(cluster);
+    EXPECT_TRUE(p.send("failover", 0, make_record("after")).ok());
+  });
+  Stopwatch sw;
+  std::vector<broker::ConsumedRecord> got;
+  while (got.empty() && sw.elapsed_ms() < 2000.0) {
+    auto polled = consumer->poll(2s);
+    ASSERT_TRUE(polled.ok());
+    got = std::move(polled).value();
+  }
+  chaos.join();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].record.key, "after");
+  EXPECT_LT(sw.elapsed_ms(), 2000.0);
+  auto second = cluster->leader("failover", 0);
+  ASSERT_TRUE(second.ok());
+  EXPECT_NE(second.value(), leader.value());
+
+  // A committed record whose leader dies before it is read: the poll
+  // finds the leader unreachable and waits; the election alone (no new
+  // produce) must wake it.
+  {
+    ClusterProducer p(cluster);
+    ASSERT_TRUE(p.send("failover", 0, make_record("stranded")).ok());
+  }
+  ASSERT_TRUE(cluster->kill_broker(second.value()).ok());
+  Stopwatch again;
+  auto polled = consumer->poll(2s);
+  ASSERT_TRUE(polled.ok());
+  ASSERT_EQ(polled.value().size(), 1u);
+  EXPECT_EQ(polled.value()[0].record.key, "stranded");
+  EXPECT_LT(again.elapsed_ms(), 1000.0);
 }
 
 }  // namespace

@@ -5,8 +5,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "storage/crc32c.h"
-
 namespace pe::storage {
 namespace {
 
@@ -54,22 +52,6 @@ class SegmentTest : public ::testing::Test {
 
   fs::path dir_;
 };
-
-TEST(Crc32c, KnownVectorAndSensitivity) {
-  // RFC 3720 test vector: 32 zero bytes.
-  const Bytes zeros(32, 0);
-  EXPECT_EQ(crc32c(zeros.data(), zeros.size()), 0x8A9136AAu);
-  Bytes flipped = zeros;
-  flipped[7] ^= 1;
-  EXPECT_NE(crc32c(flipped.data(), flipped.size()), 0x8A9136AAu);
-}
-
-TEST(Crc32c, SeedChains) {
-  const Bytes data{1, 2, 3, 4, 5, 6};
-  const std::uint32_t whole = crc32c(data.data(), data.size());
-  const std::uint32_t first = crc32c(data.data(), 3);
-  EXPECT_EQ(crc32c(data.data() + 3, 3, first), whole);
-}
 
 TEST(Frame, EncodeParseRoundTrip) {
   Bytes buf;
