@@ -1,6 +1,7 @@
 #include "mqtt/mqtt_broker.h"
 
 #include <gtest/gtest.h>
+#include <ostream>
 
 namespace pe::mqtt {
 namespace {
@@ -26,6 +27,26 @@ struct MatchCase {
 };
 
 class TopicMatchTest : public ::testing::TestWithParam<MatchCase> {};
+
+// Prints a case as its filter and topic ("a/+/c" vs "a/b/c" ->
+// a_plus_c_vs_a_b_c); CTest names each case after this. Without it the
+// value prints as a byte dump of the struct, which holds string addresses
+// and so changes with every link.
+void PrintTo(const MatchCase& c, std::ostream* os) {
+  bool first = true;
+  for (const char* s : {c.filter, c.topic}) {
+    if (!first) *os << "_vs_";
+    first = false;
+    for (const char* ch = s; *ch != '\0'; ++ch) {
+      switch (*ch) {
+        case '/': *os << '_'; break;
+        case '+': *os << "plus"; break;
+        case '#': *os << "hash"; break;
+        default: *os << *ch;
+      }
+    }
+  }
+}
 
 TEST_P(TopicMatchTest, MatchesPerMqttSpec) {
   EXPECT_EQ(topic_matches(GetParam().filter, GetParam().topic),
