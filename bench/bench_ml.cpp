@@ -22,6 +22,22 @@ data::DataBlock make_block(std::size_t rows, std::uint64_t seed = 7) {
   return gen.generate(rows);
 }
 
+// Producer-side cost of one Mini-App block (32 features, 25 Gaussian
+// clusters, 5% outliers): the generator runs ahead of every process_cloud
+// call, so it is tracked next to the model kernels below.
+void BM_GenerateBlock(benchmark::State& state) {
+  data::GeneratorConfig config;
+  config.seed = 7;
+  data::Generator gen(config);
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gen.generate(rows));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows));
+}
+BENCHMARK(BM_GenerateBlock)->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
+
 template <ml::ModelKind Kind>
 void BM_ModelPartialFit(benchmark::State& state) {
   auto model = ml::make_model(Kind);

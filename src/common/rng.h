@@ -28,9 +28,12 @@ class Rng {
     return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
   }
 
-  /// Gaussian with given mean and standard deviation.
+  /// Gaussian with given mean and standard deviation. One distribution
+  /// object lives as long as the Rng so the second normal of each polar
+  /// (Marsaglia) draw is kept for the next call instead of thrown away;
+  /// per-call parameters leave that cached standard normal valid.
   double gaussian(double mean = 0.0, double stddev = 1.0) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    return normal_(engine_, decltype(normal_)::param_type(mean, stddev));
   }
 
   bool bernoulli(double p) {
@@ -58,6 +61,7 @@ class Rng {
 
  private:
   std::mt19937_64 engine_;
+  std::normal_distribution<double> normal_;
 };
 
 }  // namespace pe

@@ -5,6 +5,11 @@
 // learning from the stream, exactly the "model is updated based on the
 // incoming data" behaviour in §III-2. The anomaly score of a point is its
 // Euclidean distance to the nearest centroid.
+//
+// Nearest-centroid search reads a private feature-major mirror of the
+// centroids (see nearest()), so the per-row distance loop runs across
+// centers and vectorizes; every center's sum is still accumulated in
+// feature order, so results are bit-identical to the row-major loop.
 #pragma once
 
 #include <cstdint>
@@ -63,14 +68,25 @@ class KMeans final : public OutlierModel {
 
  private:
   void init_centers(const data::DataBlock& block);
-  /// Index of nearest center and its squared distance.
+  /// Index of nearest center and its squared distance (first index wins
+  /// ties), computed from the feature-major mirror.
   std::pair<std::size_t, double> nearest(const double* row) const;
+  /// Rebuilds the mirror from centers_; called wherever centers_ is
+  /// replaced or moved as a whole.
+  void sync_mirror();
+  /// Copies center `c` of centers_ into the mirror (one strided column).
+  void sync_mirror_center(std::size_t c);
 
   KMeansConfig config_;
   Rng rng_;
   std::size_t features_ = 0;
   std::vector<double> centers_;        // clusters x features
   std::vector<std::uint64_t> counts_;  // per-center sample counts (minibatch)
+  // Feature-major copy of centers_: entry (f, c) at f * mirror_stride_ + c,
+  // the stride being the center count rounded up to a multiple of 4 (the
+  // padding lanes hold zeros and are never reported).
+  std::vector<double> mirror_;
+  std::size_t mirror_stride_ = 0;
 };
 
 }  // namespace pe::ml

@@ -38,8 +38,12 @@ Status ControlPlane::start() {
 
 void ControlPlane::stop() {
   if (!running_.exchange(false)) return;
-  listener_.close();
+  // Wake the accept thread without releasing the descriptor it polls;
+  // closing first would write fd_ under its read, and the number could be
+  // reused by another open before its accept4() ran.
+  listener_.shutdown();
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.close();
   if (gc_thread_.joinable()) gc_thread_.join();
   std::vector<std::thread> conns;
   {

@@ -236,6 +236,10 @@ FramedListener& FramedListener::operator=(FramedListener&& other) noexcept {
   return *this;
 }
 
+void FramedListener::shutdown() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 void FramedListener::close() {
   if (fd_ >= 0) {
     ::close(fd_);

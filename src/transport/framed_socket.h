@@ -106,8 +106,14 @@ class FramedListener {
   std::uint16_t port() const { return port_; }
 
   /// Accepts one connection, waiting up to `timeout` -> TIMEOUT when
-  /// nobody connects, UNAVAILABLE once close()d.
+  /// nobody connects, UNAVAILABLE once shutdown() or close()d.
   Result<FramedSocket> accept(Duration timeout);
+
+  /// Stops listening and wakes an accept() blocked in another thread
+  /// (it returns UNAVAILABLE) while keeping the descriptor, so it is safe
+  /// to call concurrently with accept(). close() once that thread is done:
+  /// close() itself must not race accept(), which reads the descriptor.
+  void shutdown();
 
   void close();
 

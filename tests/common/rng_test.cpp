@@ -60,6 +60,42 @@ TEST(RngTest, GaussianMomentsApproximatelyCorrect) {
   EXPECT_NEAR(var, 4.0, 0.3);
 }
 
+TEST(RngTest, SameSeedSameGaussianStream) {
+  Rng a(77), b(77);
+  for (int i = 0; i < 1000; ++i) {
+    const double mean = static_cast<double>(i % 5);
+    const double stddev = 0.5 + static_cast<double>(i % 3);
+    EXPECT_EQ(a.gaussian(mean, stddev), b.gaussian(mean, stddev)) << i;
+  }
+}
+
+TEST(RngTest, GaussianSpareTakesTheNextCallsParameters) {
+  // The polar method makes two standard normals per draw; the second is
+  // handed out by the next call, scaled by that call's mean and stddev.
+  Rng standard(9), scaled(9);
+  const double z1 = standard.gaussian();
+  const double z2 = standard.gaussian();
+  EXPECT_DOUBLE_EQ(scaled.gaussian(10.0, 2.0), z1 * 2.0 + 10.0);
+  EXPECT_DOUBLE_EQ(scaled.gaussian(-3.0, 0.5), z2 * 0.5 - 3.0);
+}
+
+TEST(RngTest, GaussianKeepsTheSpareDraw) {
+  // Each polar draw takes 4/pi (about 1.27) pairs of engine outputs and
+  // yields two normals, so N draws cost about 1.27 N engine outputs when
+  // the spare is kept and about 2.55 N when it is thrown away.
+  Rng rng(5);
+  std::mt19937_64 probe = rng.engine();
+  constexpr std::size_t kDraws = 10000;
+  for (std::size_t i = 0; i < kDraws; ++i) rng.gaussian(1.0, 3.0);
+  std::size_t steps = 0;
+  while (probe != rng.engine() && steps < 4 * kDraws) {
+    probe();
+    ++steps;
+  }
+  ASSERT_TRUE(probe == rng.engine());
+  EXPECT_LT(steps, kDraws * 3 / 2);
+}
+
 TEST(RngTest, BernoulliExtremes) {
   Rng rng(3);
   for (int i = 0; i < 50; ++i) {

@@ -30,6 +30,11 @@ struct CodeNameCase {
   std::string_view name;
 };
 
+// Names each case after its code (e.g. INVALID_ARGUMENT); CTest names
+// the case after this. Without it the value prints as a byte dump of the
+// struct, which holds a string address and so changes with every link.
+void PrintTo(const CodeNameCase& c, std::ostream* os) { *os << c.name; }
+
 class StatusCodeNameTest : public ::testing::TestWithParam<CodeNameCase> {};
 
 TEST_P(StatusCodeNameTest, ToStringMatches) {

@@ -77,7 +77,11 @@ TEST(AutoEncoderTest, ScoresAreNonNegative) {
   AutoEncoder model(small_config());
   auto block = make_block(200);
   ASSERT_TRUE(model.fit(block).ok());
-  for (double s : model.score(block).value()) EXPECT_GE(s, 0.0);
+  // Hold the Result: iterating `score(block).value()` directly would walk
+  // a vector freed with the temporary.
+  const auto scores = model.score(block);
+  ASSERT_TRUE(scores.ok());
+  for (double s : scores.value()) EXPECT_GE(s, 0.0);
 }
 
 TEST(AutoEncoderTest, TrainingRowCapBoundsEpochCost) {

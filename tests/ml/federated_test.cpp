@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "data/generator.h"
+#include "kmeans_reference.h"
 #include "ml/autoencoder.h"
 #include "ml/kmeans.h"
 #include "ml/outlier.h"
@@ -165,6 +166,30 @@ TEST(FedAvgKMeansTest, GlobalModelScores) {
   auto scores = global.score(eval);
   ASSERT_TRUE(scores.ok());
   EXPECT_EQ(scores.value().size(), 1000u);
+}
+
+TEST(FedAvgKMeansTest, GlobalModelSearchesTheAveragedCenters) {
+  // One FedAvg round into a model that already holds fitted centers of
+  // its own: after load() its nearest-center search must run over the
+  // averaged centers, and a further local round must keep it in step.
+  std::vector<Bytes> locals;
+  KMeansConfig config;
+  config.clusters = 5;
+  config.seed = 7;
+  for (std::uint64_t p = 0; p < 2; ++p) {
+    KMeans party(config);
+    ASSERT_TRUE(party.fit(party_block(70 + p)).ok());
+    locals.push_back(party.save());
+  }
+  auto averaged = average_kmeans(locals);
+  ASSERT_TRUE(averaged.ok());
+
+  KMeans global(config);
+  ASSERT_TRUE(global.fit(party_block(80)).ok());
+  ASSERT_TRUE(global.load(averaged.value()).ok());
+  reference::expect_matches(global, party_block(99, 500));
+  ASSERT_TRUE(global.partial_fit(party_block(81)).ok());
+  reference::expect_matches(global, party_block(99, 500));
 }
 
 TEST(FedAvgKMeansTest, ShapeMismatchRejected) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <vector>
+
 #include "data/generator.h"
+#include "kmeans_reference.h"
 #include "ml/outlier.h"
 
 namespace pe::ml {
@@ -185,6 +190,173 @@ TEST_P(KMeansClusterSweep, FitsAndScoresAtEveryK) {
 
 INSTANTIATE_TEST_SUITE_P(Ks, KMeansClusterSweep,
                          ::testing::Values(1, 2, 5, 10, 25, 50));
+
+// ---------- bit-identity with the row-major scalar loop ----------
+
+struct ReferenceModel {
+  std::vector<double> centers;
+  std::vector<std::uint64_t> counts;
+};
+
+// Lloyd's iterations from `model.centers` exactly as KMeans::fit runs them
+// after k-means++ seeding, with the row-major reference search.
+void reference_lloyd(ReferenceModel& model, const data::DataBlock& block,
+                     const KMeansConfig& config) {
+  const std::size_t k = config.clusters;
+  const std::size_t features = block.cols;
+  std::vector<std::size_t> assign(block.rows, 0);
+  for (std::size_t iter = 0; iter < config.max_iterations; ++iter) {
+    std::vector<double> sums(k * features, 0.0);
+    std::vector<std::uint64_t> counts(k, 0);
+    for (std::size_t r = 0; r < block.rows; ++r) {
+      const double* row = block.values.data() + r * features;
+      assign[r] = reference::nearest(model.centers, features, row).index;
+      for (std::size_t f = 0; f < features; ++f) {
+        sums[assign[r] * features + f] += row[f];
+      }
+      counts[assign[r]] += 1;
+    }
+    double movement = 0.0;
+    for (std::size_t c = 0; c < k; ++c) {
+      if (counts[c] == 0) continue;
+      const double inv = 1.0 / static_cast<double>(counts[c]);
+      for (std::size_t f = 0; f < features; ++f) {
+        const double target = sums[c * features + f] * inv;
+        const double d = target - model.centers[c * features + f];
+        movement += d * d;
+        model.centers[c * features + f] = target;
+      }
+    }
+    if (std::sqrt(movement) < config.tolerance) break;
+  }
+  model.counts.assign(k, 0);
+  for (std::size_t r = 0; r < block.rows; ++r) model.counts[assign[r]] += 1;
+}
+
+// One mini-batch block exactly as KMeans::partial_fit applies it.
+void reference_partial_fit(ReferenceModel& model, const data::DataBlock& block,
+                           const KMeansConfig& config) {
+  const std::size_t features = block.cols;
+  for (std::size_t r = 0; r < block.rows; ++r) {
+    const double* row = block.values.data() + r * features;
+    const std::size_t c =
+        reference::nearest(model.centers, features, row).index;
+    model.counts[c] += 1;
+    if (config.max_center_weight > 0 &&
+        model.counts[c] > config.max_center_weight) {
+      model.counts[c] = config.max_center_weight;
+    }
+    const double eta = 1.0 / static_cast<double>(model.counts[c]);
+    for (std::size_t f = 0; f < features; ++f) {
+      double& center = model.centers[c * features + f];
+      center += eta * (row[f] - center);
+    }
+  }
+}
+
+struct Shape {
+  std::size_t clusters;
+  std::size_t features;
+};
+
+// Names each case after its shape (e.g. k25_f32); CTest names the case
+// after this.
+void PrintTo(const Shape& s, std::ostream* os) {
+  *os << 'k' << s.clusters << "_f" << s.features;
+}
+
+class KMeansReferenceTest : public ::testing::TestWithParam<Shape> {};
+
+TEST_P(KMeansReferenceTest, FitPartialFitAndScoresEqualRowMajorLoop) {
+  const auto [k, features] = GetParam();
+  data::GeneratorConfig gen_config;
+  gen_config.features = features;
+  gen_config.clusters = 5;
+  gen_config.seed = 100 + k * 7 + features;
+  data::Generator gen(gen_config);
+
+  KMeansConfig config;
+  config.clusters = k;
+  config.seed = 3;
+  config.max_center_weight = 400;  // exercises the capped learning rate
+  const auto first = gen.generate(std::max<std::size_t>(300, 3 * k));
+
+  // k-means++ seeding does not search for nearest centers; a model with
+  // no Lloyd iterations exposes the seeds the reference starts from.
+  KMeansConfig seeds_only = config;
+  seeds_only.max_iterations = 0;
+  KMeans seeded(seeds_only);
+  ASSERT_TRUE(seeded.fit(first).ok());
+  ReferenceModel expected{seeded.centers(), {}};
+  reference_lloyd(expected, first, config);
+
+  KMeans model(config);
+  ASSERT_TRUE(model.fit(first).ok());
+  ASSERT_EQ(model.centers(), expected.centers);
+  ASSERT_EQ(model.center_counts(), expected.counts);
+  reference::expect_matches(model, first);
+
+  for (int b = 0; b < 50; ++b) {
+    const auto block = gen.generate(100);
+    reference_partial_fit(expected, block, config);
+    ASSERT_TRUE(model.partial_fit(block).ok());
+  }
+  ASSERT_EQ(model.centers(), expected.centers);
+  ASSERT_EQ(model.center_counts(), expected.counts);
+  reference::expect_matches(model, gen.generate(300));
+}
+
+std::vector<Shape> reference_shapes() {
+  std::vector<Shape> shapes;
+  for (std::size_t k : {1, 3, 4, 5, 25, 31, 32, 33, 100}) {
+    for (std::size_t features : {1, 7, 32}) shapes.push_back({k, features});
+  }
+  return shapes;
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, KMeansReferenceTest,
+                         ::testing::ValuesIn(reference_shapes()));
+
+TEST(KMeansTest, SetCentersRefreshesNearestSearch) {
+  KMeansConfig config;
+  config.clusters = 5;
+  KMeans model(config);
+  const auto block = make_block(400);
+  ASSERT_TRUE(model.fit(block).ok());
+
+  // Replace the 5 fitted centers with 7, then with 3, other values each
+  // time: the search must see exactly the centers just set.
+  Rng rng(21);
+  for (std::size_t k : {7u, 3u}) {
+    std::vector<double> centers(k * 32);
+    for (auto& v : centers) v = rng.uniform(-10.0, 10.0);
+    ASSERT_TRUE(
+        model.set_centers(centers, std::vector<std::uint64_t>(k, 1), 32)
+            .ok());
+    ASSERT_EQ(model.centers(), centers);
+    reference::expect_matches(model, block);
+  }
+}
+
+TEST(KMeansTest, LoadRefreshesNearestSearch) {
+  KMeansConfig five;
+  five.clusters = 5;
+  KMeans source(five);
+  ASSERT_TRUE(source.fit(make_block(400, 0.05, 1)).ok());
+  ASSERT_TRUE(source.partial_fit(make_block(200, 0.05, 2)).ok());
+
+  // The target already holds a fitted model of another shape.
+  KMeansConfig other;
+  other.clusters = 25;
+  KMeans target(other);
+  ASSERT_TRUE(target.fit(make_block(400, 0.05, 3)).ok());
+  ASSERT_TRUE(target.load(source.save()).ok());
+  ASSERT_EQ(target.centers(), source.centers());
+
+  const auto eval = make_block(300, 0.05, 4);
+  reference::expect_matches(target, eval);
+  EXPECT_EQ(target.score(eval).value(), source.score(eval).value());
+}
 
 }  // namespace
 }  // namespace pe::ml

@@ -93,6 +93,11 @@ struct FactoryCase {
   const char* name;
 };
 
+// Names each case after its model (e.g. kmeans); CTest names the case
+// after this. Without it the value prints as a byte dump of the struct,
+// which holds a string address and so changes with every link.
+void PrintTo(const FactoryCase& c, std::ostream* os) { *os << c.name; }
+
 class FactoryTest : public ::testing::TestWithParam<FactoryCase> {};
 
 TEST_P(FactoryTest, CreatesWorkingModel) {

@@ -80,6 +80,24 @@ TEST(FramedSocketTest, ConnectionRefusedIsUnavailable) {
   EXPECT_TRUE(socket.status().is_transient());
 }
 
+TEST(FramedSocketTest, ShutdownWakesABlockedAccept) {
+  auto listener = FramedListener::listen_loopback();
+  ASSERT_TRUE(listener.ok());
+  FramedListener& l = listener.value();
+
+  StatusCode code = StatusCode::kOk;
+  const auto start = Clock::now();
+  std::thread acceptor([&] { code = l.accept(30s).status().code(); });
+  std::this_thread::sleep_for(50ms);
+  l.shutdown();
+  acceptor.join();
+  EXPECT_EQ(code, StatusCode::kUnavailable);
+  EXPECT_LT(Clock::now() - start, 10s);  // woken, not timed out
+  EXPECT_TRUE(l.valid());  // the descriptor is kept until close()
+  l.close();
+  EXPECT_FALSE(l.valid());
+}
+
 TEST(FramedSocketTest, PeerCloseSurfacesAsUnavailable) {
   auto listener = FramedListener::listen_loopback();
   ASSERT_TRUE(listener.ok());
